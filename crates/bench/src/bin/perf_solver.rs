@@ -1,30 +1,47 @@
 //! Solver performance suite: wall-time and claimed PHC for every reordering
 //! solver on the movies filter workload at 250 / 1000 / 4000 rows, plus the
-//! exact OPHR on a 16-row prefix. Writes `BENCH_solver.json` — the repo's
-//! solver-performance trajectory — and prints the table with the speedup of
-//! the columnar [`Ggr`]/[`Ophr`] core over the frozen
-//! [`GgrReference`]/[`OphrReference`] implementations.
+//! exact OPHR on a 16-row movies prefix and on a 19-row PDMX prefix cut to
+//! `table6`'s 10 fields (the reference needs about 5 s there). Writes
+//! `BENCH_solver.json` — the repo's solver-performance trajectory — and
+//! prints the table with the speedup of the columnar [`Ggr`]/[`Ophr`] core
+//! over the frozen [`GgrReference`]/[`OphrReference`] implementations.
 //!
-//! Times are medians over repeated runs (more repeats at small sizes);
-//! claimed PHC is asserted identical between each optimized solver and its
-//! reference before timing, so the numbers always describe equivalent work.
+//! Times are medians over repeated runs (more repeats at small sizes); plan
+//! and claimed PHC are asserted identical between each optimized solver and
+//! its reference before timing, so the numbers always describe equivalent
+//! work.
 
 use llmqo_bench::report;
 use llmqo_core::{
-    FunctionalDeps, Ggr, GgrReference, Ophr, OphrReference, OriginalOrder, ReorderTable, Reorderer,
-    SortedFixed, StatFixed,
+    FunctionalDeps, Ggr, GgrReference, Ophr, OphrReference, OriginalOrder, ReorderPlan,
+    ReorderTable, Reorderer, SortedFixed, StatFixed,
 };
 use llmqo_datasets::{Dataset, DatasetId};
 use llmqo_relational::{encode_table, project_fds, QueryKind};
 use llmqo_tokenizer::Tokenizer;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Output schema of `BENCH_solver.json`.
+const SCHEMA: &str = "llmqo.bench_solver.v2";
+
+/// Rows of the PDMX prefix the exact solvers are compared on.
+const PDMX_ROWS: usize = 19;
+
+/// The largest PDMX prefix [`Ophr`] was found to solve within `table6`'s
+/// default budget on a 2-vCPU VM (38 rows exceed it).
+const PDMX_LIMIT_ROWS: usize = 37;
+
+/// `table6`'s default OPHR budget (`LLMQO_OPHR_BUDGET_S`).
+const TABLE6_BUDGET: Duration = Duration::from_secs(60);
 
 struct Measurement {
     solver: &'static str,
+    dataset: &'static str,
     rows: usize,
     median_ms: f64,
     claimed_phc: u64,
+    plan: ReorderPlan,
 }
 
 fn movies_table(rows: usize) -> (ReorderTable, FunctionalDeps) {
@@ -33,6 +50,19 @@ fn movies_table(rows: usize) -> (ReorderTable, FunctionalDeps) {
     let e = encode_table(&Tokenizer::new(), &ds.table, q).expect("encoding succeeds");
     let fds = project_fds(&ds.fds, &e.used_cols);
     (e.reorder, fds)
+}
+
+/// `table6`'s PDMX sample: the T1 query's encoding cut to its first 10
+/// fields (Appendix D.1), first `rows` rows.
+fn pdmx_table(rows: usize) -> (ReorderTable, FunctionalDeps) {
+    let ds = Dataset::generate_with_rows(DatasetId::Pdmx, rows.max(30));
+    let q = ds.query_of_kind(QueryKind::Filter).expect("filter query");
+    let e = encode_table(&Tokenizer::new(), &ds.table, q).expect("encoding succeeds");
+    let cols: Vec<usize> = (0..10).collect();
+    let mut used_cols = e.used_cols.clone();
+    used_cols.truncate(10);
+    let fds = project_fds(&ds.fds, &used_cols);
+    (e.reorder.head(rows).select_columns(&cols), fds)
 }
 
 fn median_ms(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -50,24 +80,38 @@ fn median_ms(iters: usize, mut f: impl FnMut()) -> f64 {
 fn measure(
     solver: &dyn Reorderer,
     name: &'static str,
+    dataset: &'static str,
     table: &ReorderTable,
     fds: &FunctionalDeps,
-    rows: usize,
     iters: usize,
 ) -> Measurement {
-    let claimed_phc = solver
-        .reorder(table, fds)
-        .expect("solver succeeds")
-        .claimed_phc;
+    let solution = solver.reorder(table, fds).expect("solver succeeds");
     let median_ms = median_ms(iters, || {
         solver.reorder(table, fds).expect("solver succeeds");
     });
     Measurement {
         solver: name,
-        rows,
+        dataset,
+        rows: table.nrows(),
         median_ms,
-        claimed_phc,
+        claimed_phc: solution.claimed_phc,
+        plan: solution.plan,
     }
+}
+
+/// Asserts `opt` reproduces `reference`'s plan and claimed PHC, and returns
+/// the reference's median over the optimized solver's.
+fn checked_speedup(opt: &Measurement, reference: &Measurement) -> f64 {
+    let what = format!("{} on {}-{}", opt.solver, opt.dataset, opt.rows);
+    assert_eq!(
+        opt.claimed_phc, reference.claimed_phc,
+        "{what}: claimed PHC diverged from the reference"
+    );
+    assert!(
+        opt.plan == reference.plan,
+        "{what}: plan diverged from the reference"
+    );
+    reference.median_ms / opt.median_ms
 }
 
 fn main() {
@@ -89,40 +133,58 @@ fn main() {
         ];
         let mut by_name: Vec<Measurement> = solvers
             .into_iter()
-            .map(|(solver, name)| measure(solver, name, &table, &fds, rows, iters))
+            .map(|(solver, name)| measure(solver, name, "movies", &table, &fds, iters))
             .collect();
         let ggr = by_name.iter().find(|m| m.solver == "ggr").expect("ggr ran");
         let reference = by_name
             .iter()
             .find(|m| m.solver == "ggr-reference")
             .expect("reference ran");
-        assert_eq!(
-            ggr.claimed_phc, reference.claimed_phc,
-            "columnar GGR diverged from the reference at {rows} rows"
-        );
         speedups.push((
             format!("ggr/movies-{rows}"),
-            reference.median_ms / ggr.median_ms,
+            checked_speedup(ggr, reference),
         ));
         all.append(&mut by_name);
     }
 
-    // Exact solver on a small prefix (OPHR is exponential).
+    // Exact solver on small prefixes (OPHR is exponential). The PDMX
+    // reference takes seconds per solve, so it gets a single timed run.
     let (full, fds) = movies_table(64);
-    let head = full.head(16);
-    let ophr = measure(&Ophr::unbounded(), "ophr", &head, &fds, 16, 21);
-    let ophr_ref = measure(
-        &OphrReference::unbounded(),
-        "ophr-reference",
-        &head,
-        &fds,
-        16,
-        21,
+    let movies_head = full.head(16);
+    let (pdmx, pdmx_fds) = pdmx_table(PDMX_ROWS);
+    for (dataset, table, fds, iters, ref_iters) in [
+        ("movies", &movies_head, &fds, 21, 21),
+        ("pdmx", &pdmx, &pdmx_fds, 5, 1),
+    ] {
+        let ophr_ref = measure(
+            &OphrReference::unbounded(),
+            "ophr-reference",
+            dataset,
+            table,
+            fds,
+            ref_iters,
+        );
+        let ophr = measure(&Ophr::unbounded(), "ophr", dataset, table, fds, iters);
+        speedups.push((
+            format!("ophr/{dataset}-{}", table.nrows()),
+            checked_speedup(&ophr, &ophr_ref),
+        ));
+        all.push(ophr_ref);
+        all.push(ophr);
+    }
+
+    // The exact solver's row limit: one budgeted solve at the recorded
+    // limit (`None` if it no longer fits the budget on this machine).
+    let (limit_table, limit_fds) = pdmx_table(PDMX_LIMIT_ROWS);
+    let limit_s = Ophr::with_budget(TABLE6_BUDGET)
+        .reorder(&limit_table, &limit_fds)
+        .ok()
+        .map(|s| s.solve_time.as_secs_f64());
+    println!(
+        "ophr on pdmx-{PDMX_LIMIT_ROWS} within table6's {} s budget: {}",
+        TABLE6_BUDGET.as_secs(),
+        limit_s.map_or_else(|| "timeout".to_owned(), report::secs)
     );
-    assert_eq!(ophr.claimed_phc, ophr_ref.claimed_phc, "OPHR diverged");
-    speedups.push(("ophr/movies-16".into(), ophr_ref.median_ms / ophr.median_ms));
-    all.push(ophr_ref);
-    all.push(ophr);
 
     // Report table.
     let rows_fmt: Vec<Vec<String>> = all
@@ -130,6 +192,7 @@ fn main() {
         .map(|m| {
             vec![
                 m.solver.to_string(),
+                m.dataset.to_string(),
                 m.rows.to_string(),
                 format!("{:.3}", m.median_ms),
                 m.claimed_phc.to_string(),
@@ -137,8 +200,8 @@ fn main() {
         })
         .collect();
     report::section(
-        "Solver wall-time (movies filter workload, medians)",
-        &["solver", "rows", "median ms", "claimed PHC"],
+        "Solver wall-time (T1 filter workloads, medians)",
+        &["solver", "dataset", "rows", "median ms", "claimed PHC"],
         &rows_fmt,
     );
     let speedup_rows: Vec<Vec<String>> = speedups
@@ -152,16 +215,21 @@ fn main() {
     );
 
     // BENCH_solver.json: hand-rolled (the vendored serde has no JSON
-    // backend), schema kept flat so future sessions can extend it.
-    let mut json =
-        String::from("{\n  \"workload\": \"movies filter query (synthetic, seeded)\",\n");
+    // backend). Row counts are absolute (`LLMQO_SCALE` is not read) and the
+    // datasets come from their generators' built-in seeds.
+    let mut json = format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"scale\": 1.0,\n  \"seed\": \"built-in\",\n  \"rev\": \"{}\",\n",
+        report::revision()
+    );
+    json.push_str("  \"workload\": \"T1 filter query encodings (synthetic, seeded)\",\n");
     json.push_str("  \"metric\": \"median wall-time ms over repeated in-process runs\",\n");
     json.push_str("  \"measurements\": [\n");
     for (i, m) in all.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"solver\": \"{}\", \"rows\": {}, \"median_ms\": {:.4}, \"claimed_phc\": {}}}{}",
+            "    {{\"solver\": \"{}\", \"dataset\": \"{}\", \"rows\": {}, \"median_ms\": {:.4}, \"claimed_phc\": {}}}{}",
             m.solver,
+            m.dataset,
             m.rows,
             m.median_ms,
             m.claimed_phc,
@@ -176,7 +244,12 @@ fn main() {
             if i + 1 == speedups.len() { "" } else { "," }
         );
     }
-    json.push_str("  }\n}\n");
+    let _ = writeln!(
+        json,
+        "  }},\n  \"ophr_row_limit\": {{\"dataset\": \"pdmx\", \"rows\": {PDMX_LIMIT_ROWS}, \"budget_s\": {}, \"solve_s\": {}}}\n}}",
+        TABLE6_BUDGET.as_secs(),
+        limit_s.map_or_else(|| "null".to_owned(), |s| format!("{s:.3}"))
+    );
     std::fs::write("BENCH_solver.json", &json).expect("write BENCH_solver.json");
     println!("\nwrote BENCH_solver.json");
 }

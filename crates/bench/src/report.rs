@@ -76,6 +76,21 @@ pub fn secs(s: f64) -> String {
     }
 }
 
+/// The git commit of the working directory's checkout, or `unknown`
+/// outside a git repository — the `rev` that `BENCH_*.json` files carry.
+pub fn revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_owned(),
+        )
+}
+
 /// Prints a titled section with a rendered table.
 pub fn section(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

@@ -9,11 +9,44 @@
 //! * the remaining rows, recursing with all columns.
 //!
 //! The best split is chosen by exhaustive recursion. Complexity is
-//! exponential; we add two exact optimizations the paper's Python prototype
-//! lacks — memoization on (row-set, column-set) keys and pruning of
-//! singleton groups (a group of one row contributes nothing and is dominated
-//! by scheduling that row last) — plus a wall-clock budget mirroring the
-//! paper's 2-hour termination rule (Appendix D.1).
+//! exponential; we add four exact optimizations the paper's Python prototype
+//! lacks — memoization on (row-set, column-set) keys, pruning of singleton
+//! groups (a group of one row contributes nothing and is dominated by
+//! scheduling that row last), and the two dominance rules below — plus a
+//! wall-clock budget mirroring the paper's 2-hour termination rule
+//! (Appendix D.1).
+//!
+//! # Dominance rules
+//!
+//! Write `F(X, C)` for the recursion's score of view rows `X` (`n` of them)
+//! over columns `C`, and `s` for a squared length. Both rules rest on one
+//! identity: if `c ∈ C` holds a single value over `X` with the same squared
+//! length `s ≥ 0` in every row, then `F(X, C) = s·(n−1) + F(X, C∖c)`. By
+//! induction on `|X| + |C|`, a split on another column `c'` whose group `g`
+//! (`k` rows, rest `R`) is a proper subset scores `s'(k−1) + F(R, C) +
+//! F(g, C∖c')`; `c` is still constant on `R` and `g`, so this is
+//! `s·(n−2) + [s'(k−1) + F(R, C∖c) + F(g, C∖{c, c'})]`, and the bracket is
+//! the same split's score in `(X, C∖c)`, at most `F(X, C∖c)`. A split on
+//! another constant column `c'` scores `s'(n−1) + s(n−1) + F(X, C∖{c, c'})`,
+//! again at most `s·(n−1) + F(X, C∖c)`, which the split on `c` reaches.
+//!
+//! * **Constant-column peel.** When the lowest-index constant column has a
+//!   nonzero uniform `s`, its split is the optimum and wins every tie: a
+//!   split on a non-constant column loses by at least `s`, and another
+//!   constant column at best ties and has the higher index. The solver
+//!   records that split and recurses on `(X, C∖c)` without enumerating
+//!   candidates. With `s = 0` a lower non-constant column can tie and win,
+//!   and with mixed lengths the scores read the view-first member's length,
+//!   so both cases fall back to full enumeration.
+//! * **Equal-partition collapse.** Candidates on columns `c1 < c2` that
+//!   select the same group `g` (as FD-equivalent columns do) share the rest
+//!   `R`. If both columns have uniform lengths `s1`, `s2` over `g`, the
+//!   identity inside `g` gives both the score `(s1 + s2)(k−1) + F(R, C) +
+//!   F(g, C∖{c1, c2})`, so `c1` wins the tie and `c2` is skipped. The first
+//!   candidate with a given group is always evaluated.
+//!
+//! Neither rule changes which split the recursion records, so plans stay
+//! byte-identical to the reference's `(score, col, value)` tie-break.
 //!
 //! # Implementation notes (columnar core)
 //!
@@ -198,6 +231,15 @@ impl<'t> Ctx<'t> {
             return Ok(score);
         }
 
+        if let Some((col, value, sq_len)) = self.constant_peel(rows, cols, dead) {
+            let mut sub_cols = self.scratch.pool.take();
+            sub_cols.extend(cols.iter().copied().filter(|&c| c != col));
+            let score = sq_len * (rows.len() as u64 - 1) + self.solve(rows, &sub_cols, dead)?;
+            self.scratch.pool.put(sub_cols);
+            self.memo.insert(key, (score, Choice::Split { col, value }));
+            return Ok(score);
+        }
+
         let (flat, candidates) = self.multi_groups(rows, cols, &mut dead);
         if candidates.is_empty() {
             // No value repeats anywhere: every ordering scores 0.
@@ -209,7 +251,20 @@ impl<'t> Ctx<'t> {
         let mut best: Option<(u64, u32, ValueId)> = None;
         let mut rest = self.scratch.pool.take();
         let mut sub_cols = self.scratch.pool.take();
+        // Interned ids of the uniform-length groups offered so far.
+        let mut offered = self.scratch.pool.take();
         for cand in &candidates {
+            let group = &flat[cand.start..cand.start + cand.len];
+            // Equal-partition collapse: a lower column already offered this
+            // group, both uniformly, so this candidate ties it and loses.
+            let sq_lens = self.table.col_sq_lens(cand.col as usize);
+            if group.iter().all(|&r| sq_lens[r as usize] == cand.sq_len) {
+                let id = self.row_sets.intern(group);
+                if offered.contains(&id) {
+                    continue;
+                }
+                offered.push(id);
+            }
             let contrib = cand.sq_len * (cand.len as u64 - 1);
             // O(n) columnar rest filter: the group is exactly the rows
             // holding `value` in `col`, so the rest is a value compare away.
@@ -222,7 +277,6 @@ impl<'t> Ctx<'t> {
             );
             sub_cols.clear();
             sub_cols.extend(cols.iter().copied().filter(|&c| c != cand.col));
-            let group = &flat[cand.start..cand.start + cand.len];
             let score =
                 contrib + self.solve(&rest, cols, dead)? + self.solve(group, &sub_cols, dead)?;
             let better = match best {
@@ -240,6 +294,7 @@ impl<'t> Ctx<'t> {
         }
         self.scratch.pool.put(rest);
         self.scratch.pool.put(sub_cols);
+        self.scratch.pool.put(offered);
         self.scratch.pool.put(flat);
         let (score, col, value) = best.expect("candidates is non-empty");
         self.memo.insert(key, (score, Choice::Split { col, value }));
@@ -284,6 +339,27 @@ impl<'t> Ctx<'t> {
                 out
             }
         }
+    }
+
+    /// The constant-column peel: the lowest-index column holding one value
+    /// over the view, as `(col, value, sq_len)`, when its squared length is
+    /// nonzero and the same in every row. `None` (full enumeration) when no
+    /// column is constant or the lowest constant one fails either guard.
+    fn constant_peel(
+        &self,
+        rows: &[u32],
+        cols: &[u32],
+        dead: DeadCols,
+    ) -> Option<(u32, ValueId, u64)> {
+        let first = rows[0] as usize;
+        let c = cols.iter().copied().find(|&c| {
+            let values = self.table.col_values(c as usize);
+            !dead.is_dead(c) && rows.iter().all(|&r| values[r as usize] == values[first])
+        })?;
+        let sq_lens = self.table.col_sq_lens(c as usize);
+        let sq_len = sq_lens[first];
+        (sq_len > 0 && rows.iter().all(|&r| sq_lens[r as usize] == sq_len))
+            .then(|| (c, self.table.col_values(c as usize)[first], sq_len))
     }
 
     /// Collects all groups of size ≥ 2 (singleton groups contribute 0 and
@@ -530,6 +606,37 @@ mod tests {
         assert_eq!(a.claimed_phc, 2 * (4 + 4));
     }
 
+    /// Solves `t` with [`Ophr`] and asserts the plan and claimed score are
+    /// the reference's, for ill-formed tables where claims need not be PHC.
+    fn solve_like_reference(t: &ReorderTable) -> Solution {
+        let fds = FunctionalDeps::empty(t.ncols());
+        let s = Ophr::unbounded().reorder(t, &fds).unwrap();
+        let reference = crate::OphrReference::unbounded().reorder(t, &fds).unwrap();
+        assert_eq!(s.plan, reference.plan);
+        assert_eq!(s.claimed_phc, reference.claimed_phc);
+        s
+    }
+
+    #[test]
+    fn zero_length_constant_column_is_not_peeled() {
+        // Column 1 is constant with zero length, so peeling it scores the
+        // same 1 as splitting on column 0's value 1; the lower column wins.
+        let t = table(&[&[(1, 1), (5, 0)], &[(1, 1), (5, 0)], &[(2, 1), (5, 0)]]);
+        let s = solve_like_reference(&t);
+        assert_eq!(s.claimed_phc, 1);
+        assert_eq!(s.plan.rows[0].fields[0], 0);
+    }
+
+    #[test]
+    fn constant_column_with_mixed_lengths_is_not_peeled() {
+        // Column 0 holds value 5 everywhere but with lengths 1, 3, 3. The
+        // scores read the view-first member's length, so the split on
+        // column 1 (which regroups rows 1–2 under length 3) beats the peel.
+        let t = table(&[&[(5, 1), (7, 2)], &[(5, 3), (8, 2)], &[(5, 3), (8, 2)]]);
+        let s = solve_like_reference(&t);
+        assert_eq!(s.plan.rows[0].fields[0], 1);
+    }
+
     /// Exhaustively enumerates every row order and per-row field order of a
     /// tiny table and returns the best PHC — the brute-force ground truth.
     fn brute_force(t: &ReorderTable) -> u64 {
@@ -595,9 +702,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for case in 0..40 {
             let n = rng.random_range(2..=3);
-            let m = rng.random_range(1..=3);
+            let m = rng.random_range(1..=4);
             let alphabet = rng.random_range(1..=3u32);
-            let rows: Vec<Vec<(u32, u32)>> = (0..n)
+            let mut rows: Vec<Vec<(u32, u32)>> = (0..n)
                 .map(|_| {
                     (0..m)
                         .map(|f| {
@@ -609,6 +716,14 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            if m >= 3 {
+                // The shapes the dominance rules act on: column 1 constant,
+                // the last column a relabelled copy of column 0's partition.
+                for row in &mut rows {
+                    row[1].0 = 10;
+                    row[m - 1].0 = (m as u32 - 1) * 10 + row[0].0;
+                }
+            }
             let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
             let t = table(&refs);
             // Same (col, value) must imply same len for well-formed tables.

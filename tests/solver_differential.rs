@@ -13,7 +13,8 @@ use llmqo::core::{
     Cell, FallbackOrdering, FunctionalDeps, Ggr, GgrConfig, GgrReference, Ophr, OphrReference,
     ReorderTable, Reorderer, Solution, ValueId,
 };
-use llmqo::relational::{encode_table, project_fds};
+use llmqo::datasets::{Dataset, DatasetId};
+use llmqo::relational::{encode_table, project_fds, QueryKind};
 use llmqo::tokenizer::Tokenizer;
 use proptest::prelude::*;
 
@@ -117,6 +118,68 @@ fn fd_table_strategy(max_rows: usize) -> impl Strategy<Value = (ReorderTable, Fu
         })
 }
 
+/// Table strategy for the shapes OPHR's dominance rules act on. Each column
+/// is free, constant, or a relabelled copy of an earlier column (the same
+/// row partition under different value ids); a column's lengths may all be
+/// zero; and a nonzero `skew` gives one cell a length its value has nowhere
+/// else, so constant columns and shared partitions also occur with mixed
+/// lengths (hence `push_row_unchecked`).
+fn ophr_rule_table_strategy(
+    max_rows: usize,
+    max_cols: usize,
+) -> impl Strategy<Value = ReorderTable> {
+    (1..=max_cols, 2..=max_rows)
+        .prop_flat_map(|(m, n)| {
+            (
+                // Per column: kind (0–1 free, 2 constant, 3 copy), copy
+                // source, length mode (0 = zero-length).
+                proptest::collection::vec((0u32..4, 0usize..5, 0u32..4), m),
+                proptest::collection::vec(proptest::collection::vec(0u32..3, m), n),
+                (0..n, 0..m, 0u32..3),
+            )
+        })
+        .prop_map(|(specs, mut values, (skew_row, skew_col, skew))| {
+            let m = specs.len();
+            for row in &mut values {
+                for (c, &spec) in specs.iter().enumerate() {
+                    match spec {
+                        (2, _, _) => row[c] = 0,
+                        (3, source, _) if c > 0 => row[c] = row[source % c],
+                        _ => {}
+                    }
+                }
+            }
+            let cols = (0..m).map(|c| format!("c{c}")).collect();
+            let mut t = ReorderTable::new(cols).unwrap();
+            for (r, row) in values.iter().enumerate() {
+                let cells = row
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &v)| {
+                        let mut len = if specs[c].2 == 0 {
+                            0
+                        } else {
+                            1 + (v * 3 + c as u32) % 5
+                        };
+                        if (r, c) == (skew_row, skew_col) {
+                            len += skew;
+                        }
+                        Cell::new(ValueId::from_raw(c as u32 * 16 + v), len)
+                    })
+                    .collect();
+                t.push_row_unchecked(cells).unwrap();
+            }
+            t
+        })
+}
+
+fn assert_ophr_matches(t: &ReorderTable, fds: &FunctionalDeps, what: &str) {
+    let opt = Ophr::unbounded().reorder(t, fds).unwrap();
+    let reference = OphrReference::unbounded().reorder(t, fds).unwrap();
+    assert_identical(&opt, &reference, what);
+    opt.plan.validate(t).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -155,11 +218,39 @@ proptest! {
 
     #[test]
     fn ophr_matches_reference_on_small_tables(t in table_strategy(9, 3)) {
-        let fds = FunctionalDeps::empty(t.ncols());
-        let opt = Ophr::unbounded().reorder(&t, &fds).unwrap();
-        let reference = OphrReference::unbounded().reorder(&t, &fds).unwrap();
-        assert_identical(&opt, &reference, "OPHR");
-        opt.plan.validate(&t).unwrap();
+        assert_ophr_matches(&t, &FunctionalDeps::empty(t.ncols()), "OPHR");
+    }
+
+    #[test]
+    fn ophr_matches_reference_with_constant_and_shared_partition_columns(
+        t in ophr_rule_table_strategy(10, 5),
+    ) {
+        assert_ophr_matches(&t, &FunctionalDeps::empty(t.ncols()), "OPHR on rule shapes");
+    }
+}
+
+/// OPHR on `ophr_exact`-shaped PDMX samples: the T1 query cut to its first
+/// 10 fields, 12 rows drawn across the dataset. PDMX's many constant and
+/// FD-linked columns are where the dominance rules fire most.
+#[test]
+fn ophr_matches_reference_on_pdmx_samples() {
+    let tokenizer = Tokenizer::new();
+    let ds = Dataset::generate_with_rows(DatasetId::Pdmx, 600);
+    let mut query = ds
+        .query_of_kind(QueryKind::Filter)
+        .expect("PDMX has a T1 query")
+        .clone();
+    query.fields.truncate(10);
+    for (sample, stride) in [1usize, 7, 31, 47].into_iter().enumerate() {
+        let rows: Vec<usize> = (0..12).map(|i| (sample + i * stride) % 600).collect();
+        let encoded = encode_table(&tokenizer, &ds.table.select_rows(&rows), &query)
+            .expect("encoding succeeds");
+        let fds = project_fds(&ds.fds, &encoded.used_cols);
+        assert_ophr_matches(
+            &encoded.reorder,
+            &fds,
+            &format!("OPHR on PDMX stride {stride}"),
+        );
     }
 }
 
@@ -187,11 +278,7 @@ fn solvers_match_reference_on_all_tier1_datasets() {
         let keep: Vec<usize> = (0..encoded.reorder.ncols().min(4)).collect();
         let head = encoded.reorder.head(12).select_columns(&keep);
         let head_fds = FunctionalDeps::empty(head.ncols());
-        let opt = Ophr::unbounded().reorder(&head, &head_fds).unwrap();
-        let reference = OphrReference::unbounded()
-            .reorder(&head, &head_fds)
-            .unwrap();
-        assert_identical(&opt, &reference, &format!("OPHR on {}", id.name()));
+        assert_ophr_matches(&head, &head_fds, &format!("OPHR on {}", id.name()));
     }
 }
 
@@ -222,9 +309,7 @@ fn ggr_and_ophr_match_reference_when_a_value_recurs_with_different_lengths() {
     for config in ggr_configs() {
         assert_ggr_matches(&t, &fds, config);
     }
-    let opt = Ophr::unbounded().reorder(&t, &fds).unwrap();
-    let reference = OphrReference::unbounded().reorder(&t, &fds).unwrap();
-    assert_identical(&opt, &reference, "OPHR on ill-formed lengths");
+    assert_ophr_matches(&t, &fds, "OPHR on ill-formed lengths");
 }
 
 /// The paper-configuration claimed score must stay bit-identical through the
