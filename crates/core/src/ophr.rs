@@ -231,6 +231,8 @@ impl<'t> Ctx<'t> {
             return Ok(score);
         }
 
+        // Constant-column peel (see the module docs): this split is the
+        // optimum and wins every tie, so no candidate needs enumerating.
         if let Some((col, value, sq_len)) = self.constant_peel(rows, cols, dead) {
             let mut sub_cols = self.scratch.pool.take();
             sub_cols.extend(cols.iter().copied().filter(|&c| c != col));

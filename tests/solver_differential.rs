@@ -173,11 +173,12 @@ fn ophr_rule_table_strategy(
         })
 }
 
-fn assert_ophr_matches(t: &ReorderTable, fds: &FunctionalDeps, what: &str) {
+fn assert_ophr_matches(t: &ReorderTable, fds: &FunctionalDeps, what: &str) -> Solution {
     let opt = Ophr::unbounded().reorder(t, fds).unwrap();
     let reference = OphrReference::unbounded().reorder(t, fds).unwrap();
     assert_identical(&opt, &reference, what);
     opt.plan.validate(t).unwrap();
+    opt
 }
 
 proptest! {
@@ -246,10 +247,11 @@ fn ophr_matches_reference_on_pdmx_samples() {
         let encoded = encode_table(&tokenizer, &ds.table.select_rows(&rows), &query)
             .expect("encoding succeeds");
         let fds = project_fds(&ds.fds, &encoded.used_cols);
-        assert_ophr_matches(
-            &encoded.reorder,
-            &fds,
-            &format!("OPHR on PDMX stride {stride}"),
+        let what = format!("OPHR on PDMX stride {stride}");
+        let solution = assert_ophr_matches(&encoded.reorder, &fds, &what);
+        assert!(
+            solution.claimed_phc > 0,
+            "{what}: no shared prefix to compare"
         );
     }
 }
