@@ -11,7 +11,7 @@
 //! its reference before timing, so the numbers always describe equivalent
 //! work.
 
-use llmqo_bench::report;
+use llmqo_bench::{harness, report};
 use llmqo_core::{
     FunctionalDeps, Ggr, GgrReference, Ophr, OphrReference, OriginalOrder, ReorderPlan,
     ReorderTable, Reorderer, SortedFixed, StatFixed,
@@ -50,19 +50,6 @@ fn movies_table(rows: usize) -> (ReorderTable, FunctionalDeps) {
     let e = encode_table(&Tokenizer::new(), &ds.table, q).expect("encoding succeeds");
     let fds = project_fds(&ds.fds, &e.used_cols);
     (e.reorder, fds)
-}
-
-/// `table6`'s PDMX sample: the T1 query's encoding cut to its first 10
-/// fields (Appendix D.1), first `rows` rows.
-fn pdmx_table(rows: usize) -> (ReorderTable, FunctionalDeps) {
-    let ds = Dataset::generate_with_rows(DatasetId::Pdmx, rows.max(30));
-    let q = ds.query_of_kind(QueryKind::Filter).expect("filter query");
-    let e = encode_table(&Tokenizer::new(), &ds.table, q).expect("encoding succeeds");
-    let cols: Vec<usize> = (0..10).collect();
-    let mut used_cols = e.used_cols.clone();
-    used_cols.truncate(10);
-    let fds = project_fds(&ds.fds, &used_cols);
-    (e.reorder.head(rows).select_columns(&cols), fds)
 }
 
 fn median_ms(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -151,7 +138,7 @@ fn main() {
     // reference takes seconds per solve, so it gets a single timed run.
     let (full, fds) = movies_table(64);
     let movies_head = full.head(16);
-    let (pdmx, pdmx_fds) = pdmx_table(PDMX_ROWS);
+    let (pdmx, pdmx_fds) = harness::table6_sample(DatasetId::Pdmx, PDMX_ROWS);
     for (dataset, table, fds, iters, ref_iters) in [
         ("movies", &movies_head, &fds, 21, 21),
         ("pdmx", &pdmx, &pdmx_fds, 5, 1),
@@ -175,7 +162,7 @@ fn main() {
 
     // The exact solver's row limit: one budgeted solve at the recorded
     // limit (`None` if it no longer fits the budget on this machine).
-    let (limit_table, limit_fds) = pdmx_table(PDMX_LIMIT_ROWS);
+    let (limit_table, limit_fds) = harness::table6_sample(DatasetId::Pdmx, PDMX_LIMIT_ROWS);
     let limit_s = Ophr::with_budget(TABLE6_BUDGET)
         .reorder(&limit_table, &limit_fds)
         .ok()

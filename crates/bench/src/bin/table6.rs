@@ -7,11 +7,9 @@
 //! magnitude faster. Our OPHR is memoized and budgeted
 //! (`LLMQO_OPHR_BUDGET_S`, default 60 s per dataset).
 
-use llmqo_bench::report;
+use llmqo_bench::{harness, report};
 use llmqo_core::{phc_of_plan, Ggr, Ophr, Reorderer, SolveError};
-use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_relational::{encode_table, project_fds, QueryKind};
-use llmqo_tokenizer::Tokenizer;
+use llmqo_datasets::DatasetId;
 use std::time::Duration;
 
 fn main() {
@@ -31,21 +29,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (id, nrows, (paper_ophr, paper_ggr)) in cases {
-        let ds = Dataset::generate_with_rows(id, nrows.max(30));
-        let query = ds
-            .query_of_kind(QueryKind::Filter)
-            .or_else(|| ds.query_of_kind(QueryKind::Rag))
-            .expect("T1 or T5 query");
-        let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
-        let mut table = encoded.reorder.head(nrows);
-        let mut used_cols = encoded.used_cols.clone();
-        if id == DatasetId::Pdmx {
-            // Appendix D.1 cuts PDMX to 10 columns to make OPHR feasible.
-            let cols: Vec<usize> = (0..10).collect();
-            table = table.select_columns(&cols);
-            used_cols.truncate(10);
-        }
-        let fds = project_fds(&ds.fds, &used_cols);
+        let (table, fds) = harness::table6_sample(id, nrows);
 
         let ggr = Ggr::default().reorder(&table, &fds).expect("ggr");
         let ggr_rate = phc_of_plan(&table, &ggr.plan).hit_rate();

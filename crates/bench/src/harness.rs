@@ -1,8 +1,10 @@
 //! Shared measurement plumbing for the reproduction binaries.
 
-use llmqo_core::{Ggr, OriginalOrder, Reorderer};
+use llmqo_core::{FunctionalDeps, Ggr, OriginalOrder, ReorderTable, Reorderer};
 use llmqo_datasets::{Dataset, DatasetId};
-use llmqo_relational::{ExecError, LlmQuery, QueryExecutor, QueryOutput};
+use llmqo_relational::{
+    encode_table, project_fds, ExecError, LlmQuery, QueryExecutor, QueryKind, QueryOutput,
+};
 use llmqo_serve::{
     Deployment, EngineConfig, GpuCluster, GpuSpec, ModelSpec, OracleLlm, SimEngine, SimLlm,
 };
@@ -27,6 +29,27 @@ pub fn rows_for(id: DatasetId) -> usize {
 /// Generates `id` at the current scale.
 pub fn load(id: DatasetId) -> Dataset {
     Dataset::generate_with_rows(id, rows_for(id))
+}
+
+/// `table6`'s sample of `id` (Appendix D.1): the T1 query's encoding (T5
+/// where a dataset has no T1), first `rows` rows, with PDMX cut to its
+/// first 10 fields to make the exact solver feasible. Returns the table and
+/// the FDs projected onto its columns.
+pub fn table6_sample(id: DatasetId, rows: usize) -> (ReorderTable, FunctionalDeps) {
+    let ds = Dataset::generate_with_rows(id, rows.max(30));
+    let query = ds
+        .query_of_kind(QueryKind::Filter)
+        .or_else(|| ds.query_of_kind(QueryKind::Rag))
+        .expect("T1 or T5 query");
+    let encoded = encode_table(&Tokenizer::new(), &ds.table, query).expect("encode");
+    let mut table = encoded.reorder.head(rows);
+    let mut used_cols = encoded.used_cols;
+    if id == DatasetId::Pdmx {
+        let cols: Vec<usize> = (0..10).collect();
+        table = table.select_columns(&cols);
+        used_cols.truncate(10);
+    }
+    (table, project_fds(&ds.fds, &used_cols))
 }
 
 /// Llama-3-8B on a single L4 (the paper's primary setup).

@@ -702,7 +702,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        for case in 0..40 {
+        let mut drawn_per_width = [0usize; 5];
+        for case in 0..60 {
             let n = rng.random_range(2..=3);
             let m = rng.random_range(1..=4);
             let alphabet = rng.random_range(1..=3u32);
@@ -718,12 +719,14 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            if m >= 3 {
+            drawn_per_width[m] += 1;
+            if m == 4 {
                 // The shapes the dominance rules act on: column 1 constant,
-                // the last column a relabelled copy of column 0's partition.
+                // column 3 a relabelled copy of column 0's partition, column
+                // 2 still free. Up to 3 columns every column is free.
                 for row in &mut rows {
                     row[1].0 = 10;
-                    row[m - 1].0 = (m as u32 - 1) * 10 + row[0].0;
+                    row[3].0 = 30 + row[0].0;
                 }
             }
             let refs: Vec<&[(u32, u32)]> = rows.iter().map(Vec::as_slice).collect();
@@ -748,5 +751,11 @@ mod tests {
                 s.claimed_phc
             );
         }
+        // Both the free 3-column tables and the forced 4-column shapes must
+        // actually be checked.
+        assert!(
+            drawn_per_width[3] >= 10 && drawn_per_width[4] >= 10,
+            "{drawn_per_width:?}"
+        );
     }
 }
